@@ -495,9 +495,10 @@ impl SemSystem {
             options,
         );
 
-        // Fan out only when each solve is single-threaded: nesting the batch
-        // over the element-parallel kernel would oversubscribe cores² threads
-        // and pollute the measured per-application seconds.
+        // Fan out only when each solve is single-threaded: `cpu:parallel`
+        // already splits every Ax into one element run per core, so nesting
+        // the batch over it would run cores² threads and pollute the
+        // measured per-application seconds.
         let batch_parallel = self.execution.perf_source() == PerfSource::Measured
             && !matches!(self.config.exec, ExecSpec::Cpu(AxImplementation::Parallel));
 

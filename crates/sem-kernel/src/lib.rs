@@ -14,8 +14,9 @@
 //! * [`optimized`] — the layout the optimised accelerator uses: `gxyz` split
 //!   into six planes, loop structure reorganised for locality (the
 //!   Section III-B transformations expressed on a CPU).
-//! * [`parallel`] — the optimised kernel dispatched over elements with Rayon,
-//!   the multi-core CPU baseline of the evaluation.
+//! * [`parallel`] — the multi-core CPU baseline of the evaluation: one
+//!   contiguous element run per core, each running the single-thread path
+//!   (specialized or optimised) of [`operator::PoissonOperator`].
 //!
 //! [`specialized`] layers degree-specialized codegen on top: const-generic
 //! kernel families with `NX = N + 1` baked in for the hot degrees

@@ -6,8 +6,8 @@
 //! crates and reuses the same data through this type.
 
 use crate::ops;
-use crate::optimized::ax_optimized;
-use crate::parallel::ax_parallel;
+use crate::optimized::ax_optimized_slices;
+use crate::parallel::for_each_run;
 use crate::reference::ax_reference;
 use crate::specialized::DegreeDispatch;
 use sem_basis::DerivativeMatrix;
@@ -22,7 +22,8 @@ pub enum AxImplementation {
     /// Split-layout, cache-blocked kernel.
     #[default]
     Optimized,
-    /// Split-layout kernel parallelised over elements with Rayon.
+    /// [`Self::Optimized`] on every core: one contiguous element run per
+    /// core, each running the single-thread path (bitwise identical).
     Parallel,
     /// Degree-specialized const-generic kernel (`NX = N + 1` compile-time,
     /// see [`crate::specialized`]); bitwise identical to [`Self::Optimized`]
@@ -45,14 +46,14 @@ pub struct PoissonOperator {
 }
 
 /// Resolve the specialized dispatch for an implementation/degree pair:
-/// `Specialized` asks for it explicitly, and `Optimized` auto-upgrades
-/// (bitwise-identical results) when the degree is covered.
+/// `Specialized` asks for it explicitly, and `Optimized` and `Parallel`
+/// auto-upgrade (bitwise-identical results) when the degree is covered.
 fn resolve_dispatch(implementation: AxImplementation, degree: usize) -> Option<DegreeDispatch> {
     match implementation {
-        AxImplementation::Optimized | AxImplementation::Specialized => {
-            DegreeDispatch::for_degree(degree)
-        }
-        AxImplementation::Reference | AxImplementation::Parallel => None,
+        AxImplementation::Optimized
+        | AxImplementation::Specialized
+        | AxImplementation::Parallel => DegreeDispatch::for_degree(degree),
+        AxImplementation::Reference => None,
     }
 }
 
@@ -113,8 +114,8 @@ impl PoissonOperator {
     }
 
     /// The specialized kernel family serving this operator, when one is
-    /// resolved (`Optimized` auto-upgrades on covered degrees; `None` means
-    /// the generic path runs).
+    /// resolved (`Optimized` and `Parallel` auto-upgrade on covered degrees;
+    /// `None` means the generic path runs).
     #[must_use]
     pub fn dispatch(&self) -> Option<&DegreeDispatch> {
         self.dispatch.as_ref()
@@ -166,6 +167,7 @@ impl PoissonOperator {
     // lint: alloc-free (the Ax hot path: every CG iteration routes through here)
     pub fn apply_into(&self, u: &ElementField, w: &mut ElementField) {
         assert_eq!(u.len(), w.len(), "output field size mismatch");
+        let planes = self.split_planes.each_ref().map(|plane| &plane[..]);
         match self.implementation {
             AxImplementation::Reference => ax_reference(
                 u.as_slice(),
@@ -174,38 +176,30 @@ impl PoissonOperator {
                 &self.derivative,
             ),
             AxImplementation::Optimized | AxImplementation::Specialized => {
-                if let Some(dispatch) = &self.dispatch {
-                    dispatch.ax_apply_all(
-                        u.as_slice(),
-                        w.as_mut_slice(),
-                        [
-                            &self.split_planes[0][..],
-                            &self.split_planes[1][..],
-                            &self.split_planes[2][..],
-                            &self.split_planes[3][..],
-                            &self.split_planes[4][..],
-                            &self.split_planes[5][..],
-                        ],
-                        self.derivative.d().as_slice(),
-                        self.derivative.dt().as_slice(),
-                    );
-                } else {
-                    // Out-of-range degree (or pinned generic): the generic
-                    // split-layout kernel is the fallback path.
-                    ax_optimized(
-                        u.as_slice(),
-                        w.as_mut_slice(),
-                        &self.split_planes,
-                        &self.derivative,
-                    );
-                }
+                self.apply_run(u.as_slice(), w.as_mut_slice(), planes);
             }
-            AxImplementation::Parallel => ax_parallel(
-                u.as_slice(),
-                w.as_mut_slice(),
-                &self.split_planes,
-                &self.derivative,
+            AxImplementation::Parallel => {
+                let npts = self.derivative.num_points().pow(3);
+                for_each_run(u.as_slice(), w.as_mut_slice(), planes, npts, |u, w, g| {
+                    self.apply_run(u, w, g);
+                });
+            }
+        }
+    }
+
+    /// The single-thread split-layout path on a contiguous run of elements:
+    /// the specialized kernel when one is resolved, else the generic kernel
+    /// (out-of-range degree or pinned generic).
+    fn apply_run(&self, u: &[f64], w: &mut [f64], g_planes: [&[f64]; 6]) {
+        match &self.dispatch {
+            Some(dispatch) => dispatch.ax_apply_all(
+                u,
+                w,
+                g_planes,
+                self.derivative.d().as_slice(),
+                self.derivative.dt().as_slice(),
             ),
+            None => ax_optimized_slices(u, w, g_planes, &self.derivative),
         }
     }
 
@@ -277,6 +271,52 @@ mod tests {
         assert_eq!(w_spec.as_slice(), w_gen.as_slice());
     }
 
+    fn random_field(degree: usize, elements: usize, seed: u64) -> ElementField {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut u = ElementField::zeros(degree, elements);
+        u.as_mut_slice()
+            .iter_mut()
+            .for_each(|v| *v = rng.gen_range(-1.0..1.0));
+        u
+    }
+
+    #[test]
+    fn parallel_is_bitwise_equal_to_optimized_on_every_degree_and_run_split() {
+        use sem_mesh::MeshDeformation;
+        for degree in 1..=16 {
+            for elements in [1, 2, 3, 7, 64] {
+                let mesh = BoxMesh::new(
+                    degree,
+                    [elements, 1, 1],
+                    [1.0; 3],
+                    MeshDeformation::Sinusoidal { amplitude: 0.03 },
+                );
+                let u = random_field(degree, elements, (degree * 100 + elements) as u64);
+                let mut op = PoissonOperator::new(&mesh, AxImplementation::Optimized);
+                let w_opt = op.apply(&u);
+                op.set_implementation(AxImplementation::Parallel);
+                assert_eq!(
+                    op.dispatch().is_some(),
+                    DegreeDispatch::covers(degree),
+                    "degree {degree}: parallel resolves a dispatch exactly on covered degrees"
+                );
+                let w_par = op.apply(&u);
+                assert_eq!(
+                    w_opt.as_slice(),
+                    w_par.as_slice(),
+                    "degree {degree}, {elements} elements: parallel must be bitwise equal"
+                );
+                op.pin_generic();
+                let w_gen = op.apply(&u);
+                assert_eq!(
+                    w_opt.as_slice(),
+                    w_gen.as_slice(),
+                    "degree {degree}, {elements} elements: pinned-generic parallel"
+                );
+            }
+        }
+    }
+
     #[test]
     fn optimized_auto_upgrades_on_covered_degrees_only() {
         let covered = PoissonOperator::new(&BoxMesh::unit_cube(7, 1), AxImplementation::Optimized);
@@ -286,6 +326,11 @@ mod tests {
         let reference =
             PoissonOperator::new(&BoxMesh::unit_cube(7, 1), AxImplementation::Reference);
         assert!(reference.dispatch().is_none());
+        let parallel = PoissonOperator::new(&BoxMesh::unit_cube(7, 1), AxImplementation::Parallel);
+        assert!(
+            parallel.dispatch().is_some(),
+            "parallel runs the specialized kernel"
+        );
     }
 
     #[test]

@@ -237,8 +237,7 @@ thread_local! {
 /// partitions (which pass sub-slices of the full planes).  The element
 /// scratch comes from a thread-local buffer sized on first use, so repeated
 /// applications are allocation-free; callers that manage their own scratch
-/// (e.g. the parallel kernel's worker threads) use
-/// [`ax_optimized_slices_with`] instead.
+/// use [`ax_optimized_slices_with`] instead.
 ///
 /// # Panics
 /// Panics if `u` and `w` differ in length, the length is not a multiple of

@@ -20,13 +20,14 @@ pub struct GatherScatter {
     num_global: usize,
     /// How many local copies each *local* node has (its global multiplicity).
     multiplicity: Vec<f64>,
-    /// CSR offsets into [`GatherScatter::csr_locals`]: the local copies of
-    /// global node `g` are `csr_locals[csr_offsets[g]..csr_offsets[g + 1]]`,
-    /// in ascending local order.
-    csr_offsets: Vec<usize>,
-    /// Local indices grouped by their global node (the inverse of
-    /// `local_to_global`, in CSR form).
-    csr_locals: Vec<usize>,
+    /// CSR offsets into [`GatherScatter::shared_locals`], one row per
+    /// *shared* global node (two or more local copies) in ascending global
+    /// order: row `k` is `shared_locals[shared_offsets[k]..shared_offsets[k + 1]]`.
+    shared_offsets: Vec<usize>,
+    /// The local copies of every shared global node, grouped by node and in
+    /// ascending local order within each node.  Element-interior nodes have
+    /// one copy and no row: dssum never visits them.
+    shared_locals: Vec<usize>,
 }
 
 impl GatherScatter {
@@ -41,20 +42,30 @@ impl GatherScatter {
         }
         let multiplicity = local_to_global.iter().map(|&g| counts[g] as f64).collect();
 
-        // Invert local→global into a CSR global→locals map so dssum can run
-        // as one gather-accumulate-scatter sweep without a global work vector.
-        let mut csr_offsets = vec![0_usize; num_global + 1];
-        for g in 0..num_global {
-            csr_offsets[g + 1] = csr_offsets[g] + counts[g];
+        // Invert local→global into a CSR map over the shared global nodes
+        // only, so dssum runs as one gather-accumulate-scatter sweep without
+        // a global work vector.  `counts` is reused as each shared node's
+        // write cursor (`usize::MAX` marks an unshared node).
+        let mut shared_offsets = vec![0_usize];
+        let mut end = 0;
+        for count in &mut counts {
+            if *count >= 2 {
+                let start = end;
+                end += *count;
+                shared_offsets.push(end);
+                *count = start;
+            } else {
+                *count = usize::MAX;
+            }
         }
-        let mut next = csr_offsets[..num_global].to_vec();
-        let mut csr_locals = vec![0_usize; local_to_global.len()];
-        // Filling in ascending local order keeps each global node's copies
-        // sorted, so the CSR sweep accumulates in the same order as the
-        // legacy scatter/gather path (bitwise-identical sums).
+        let mut shared_locals = vec![0_usize; end];
+        // Filling in ascending local order keeps each node's copies sorted,
+        // so the sweep accumulates in the same order as `scatter_add`.
         for (l, &g) in local_to_global.iter().enumerate() {
-            csr_locals[next[g]] = l;
-            next[g] += 1;
+            if counts[g] != usize::MAX {
+                shared_locals[counts[g]] = l;
+                counts[g] += 1;
+            }
         }
 
         Self {
@@ -63,8 +74,8 @@ impl GatherScatter {
             local_to_global,
             num_global,
             multiplicity,
-            csr_offsets,
-            csr_locals,
+            shared_offsets,
+            shared_locals,
         }
     }
 
@@ -112,21 +123,18 @@ impl GatherScatter {
     /// Direct stiffness summation `QQᵀ`: sum shared nodes and write the sum
     /// back to every copy.  This is the "dssum" of Nek5000/Nekbone.
     ///
-    /// Runs as a single sweep over the precomputed CSR global→locals map —
-    /// gather each global node's copies, accumulate, scatter the sum back —
+    /// Runs as a single sweep over the precomputed CSR map of shared global
+    /// nodes — gather each node's copies, accumulate, scatter the sum back —
     /// with no intermediate global vector, so a CG iteration performs no
-    /// heap allocation here.  Bitwise identical to
-    /// [`GatherScatter::direct_stiffness_sum_via_global`].
+    /// heap allocation here.  Unshared nodes (element interiors, most of the
+    /// mesh) are already "summed" and are never touched.  Each node's copies
+    /// are added in ascending local order, as in `gather(&scatter_add(f))`.
+    // lint: alloc-free (every CG iteration runs one dssum)
     pub fn direct_stiffness_sum(&self, field: &mut ElementField) {
         assert_eq!(field.len(), self.num_local_dofs(), "field size mismatch");
         let data = field.as_mut_slice();
-        for g in 0..self.num_global {
-            let locals = &self.csr_locals[self.csr_offsets[g]..self.csr_offsets[g + 1]];
-            // Nodes with a single copy (element interiors, the vast majority)
-            // are already "summed".
-            if locals.len() == 1 {
-                continue;
-            }
+        for row in self.shared_offsets.windows(2) {
+            let locals = &self.shared_locals[row[0]..row[1]];
             let mut sum = 0.0;
             for &l in locals {
                 sum += data[l];
@@ -134,16 +142,6 @@ impl GatherScatter {
             for &l in locals {
                 data[l] = sum;
             }
-        }
-    }
-
-    /// The legacy two-pass dssum: scatter-add into a freshly allocated global
-    /// vector, then gather back.  Retained as the reference the CSR sweep is
-    /// parity-tested against (and for callers that want the global vector).
-    pub fn direct_stiffness_sum_via_global(&self, field: &mut ElementField) {
-        let global = self.scatter_add(field);
-        for (l, &g) in self.local_to_global.iter().enumerate() {
-            field.as_mut_slice()[l] = global[g];
         }
     }
 
@@ -241,27 +239,67 @@ mod tests {
         }
     }
 
+    fn random_field(degree: usize, elements: usize) -> ElementField {
+        let mut field = ElementField::zeros(degree, elements);
+        let mut state = 0x9e37_79b9_u64;
+        field.fill_with(|_, _, _, _| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            (state >> 11) as f64 / (1_u64 << 53) as f64 - 0.5
+        });
+        field
+    }
+
     #[test]
     fn csr_dssum_matches_the_legacy_global_vector_path_bitwise() {
         for (degree, elems) in [(2, 2), (3, 3), (5, 2)] {
             let (mesh, gs) = setup(degree, elems);
-            let mut field = ElementField::zeros(degree, mesh.num_elements());
-            let mut state = 0x9e37_79b9_u64;
-            field.fill_with(|_, _, _, _| {
-                state = state
-                    .wrapping_mul(6_364_136_223_846_793_005)
-                    .wrapping_add(1);
-                (state >> 11) as f64 / (1_u64 << 53) as f64 - 0.5
-            });
-            let mut csr = field.clone();
-            let mut legacy = field;
+            let field = random_field(degree, mesh.num_elements());
+            let oracle = gs.gather(&gs.scatter_add(&field));
+            let mut csr = field;
             gs.direct_stiffness_sum(&mut csr);
-            gs.direct_stiffness_sum_via_global(&mut legacy);
             assert_eq!(
                 csr.as_slice(),
-                legacy.as_slice(),
+                oracle.as_slice(),
                 "CSR sweep must be bitwise identical at degree {degree}, {elems}^3 elements"
             );
+        }
+    }
+
+    #[test]
+    fn shared_node_sweep_matches_a_full_sweep_over_every_global_node_bitwise() {
+        for (degree, elems) in [(1, 3), (4, 2), (7, 3)] {
+            let (mesh, gs) = setup(degree, elems);
+            let field = random_field(degree, mesh.num_elements());
+            // The full sweep: every global node's copies in ascending local
+            // order, singletons included (a sum of one copy is that copy).
+            let mut full = field.clone();
+            let mut copies = vec![Vec::new(); gs.num_global_dofs()];
+            for (l, &g) in gs.local_to_global().iter().enumerate() {
+                copies[g].push(l);
+            }
+            for locals in &copies {
+                if locals.len() == 1 {
+                    continue;
+                }
+                let sum = locals.iter().fold(0.0, |acc, &l| acc + full.as_slice()[l]);
+                for &l in locals {
+                    full.as_mut_slice()[l] = sum;
+                }
+            }
+            let mut shared = field;
+            gs.direct_stiffness_sum(&mut shared);
+            let bits =
+                |f: &ElementField| f.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&shared),
+                bits(&full),
+                "degree {degree}, {elems}^3 elements"
+            );
+            // Only shared nodes have rows.
+            let shared_nodes = copies.iter().filter(|c| c.len() >= 2).count();
+            assert_eq!(gs.shared_offsets.len(), shared_nodes + 1);
         }
     }
 

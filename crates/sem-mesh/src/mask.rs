@@ -9,12 +9,13 @@ use crate::field::ElementField;
 use crate::mesh::BoxMesh;
 use serde::{Deserialize, Serialize};
 
-/// A 0/1 mask over the local degrees of freedom (0 on the Dirichlet boundary).
+/// The Dirichlet boundary of the local degrees of freedom, stored as the
+/// constrained local indices only (the free ones are left untouched).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DirichletMask {
-    degree: usize,
-    num_elements: usize,
-    mask: Vec<f64>,
+    num_local: usize,
+    /// Constrained (boundary) local indices, ascending.
+    constrained: Vec<usize>,
 }
 
 impl DirichletMask {
@@ -22,24 +23,23 @@ impl DirichletMask {
     #[must_use]
     pub fn from_mesh(mesh: &BoxMesh) -> Self {
         let nx = mesh.points_per_direction();
-        let mut mask = Vec::with_capacity(mesh.num_local_dofs());
+        let mut constrained = Vec::new();
+        let mut l = 0;
         for e in 0..mesh.num_elements() {
             for k in 0..nx {
                 for j in 0..nx {
                     for i in 0..nx {
-                        mask.push(if mesh.is_boundary_node(e, i, j, k) {
-                            0.0
-                        } else {
-                            1.0
-                        });
+                        if mesh.is_boundary_node(e, i, j, k) {
+                            constrained.push(l);
+                        }
+                        l += 1;
                     }
                 }
             }
         }
         Self {
-            degree: mesh.degree(),
-            num_elements: mesh.num_elements(),
-            mask,
+            num_local: mesh.num_local_dofs(),
+            constrained,
         }
     }
 
@@ -48,42 +48,32 @@ impl DirichletMask {
     #[must_use]
     pub fn none(degree: usize, num_elements: usize) -> Self {
         Self {
-            degree,
-            num_elements,
-            mask: vec![1.0; sem_basis::dofs_per_element(degree) * num_elements],
+            num_local: sem_basis::dofs_per_element(degree) * num_elements,
+            constrained: Vec::new(),
         }
     }
 
-    /// Apply the mask in place: boundary values are zeroed.
+    /// Apply the mask in place: boundary values are zeroed (multiplied by
+    /// zero, so the sign of zero matches a dense 0/1 multiply).
+    // lint: alloc-free (every CG iteration masks the residual)
     pub fn apply(&self, field: &mut ElementField) {
-        assert_eq!(field.len(), self.mask.len(), "field size mismatch");
-        for (v, &m) in field.as_mut_slice().iter_mut().zip(&self.mask) {
-            *v *= m;
+        assert_eq!(field.len(), self.num_local, "field size mismatch");
+        let data = field.as_mut_slice();
+        for &i in &self.constrained {
+            data[i] *= 0.0;
         }
-    }
-
-    /// The raw mask values (1 = free, 0 = constrained).
-    #[must_use]
-    pub fn as_slice(&self) -> &[f64] {
-        &self.mask
-    }
-
-    /// The mask as an [`ElementField`].
-    #[must_use]
-    pub fn as_field(&self) -> ElementField {
-        ElementField::from_vec(self.degree, self.num_elements, self.mask.clone())
     }
 
     /// Number of constrained (boundary) local degrees of freedom.
     #[must_use]
     pub fn num_constrained(&self) -> usize {
-        self.mask.iter().filter(|&&m| m == 0.0).count()
+        self.constrained.len()
     }
 
     /// Number of free local degrees of freedom.
     #[must_use]
     pub fn num_free(&self) -> usize {
-        self.mask.len() - self.num_constrained()
+        self.num_local - self.constrained.len()
     }
 }
 
@@ -121,6 +111,50 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn sparse_apply_matches_the_dense_zero_one_multiply_bitwise() {
+        let mesh = BoxMesh::unit_cube(4, 2);
+        let mask = DirichletMask::from_mesh(&mesh);
+        let nx = mesh.points_per_direction();
+        let mut dense = Vec::new();
+        for e in 0..mesh.num_elements() {
+            for k in 0..nx {
+                for j in 0..nx {
+                    for i in 0..nx {
+                        dense.push(if mesh.is_boundary_node(e, i, j, k) {
+                            0.0
+                        } else {
+                            1.0
+                        });
+                    }
+                }
+            }
+        }
+        // Negative values and signed zeros: `x * 0.0` keeps the sign bit.
+        let mut state = 0x2545_f491_u64;
+        let mut f = ElementField::zeros(4, 8);
+        f.fill_with(|_, _, _, _| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            match state >> 62 {
+                0 => -0.0,
+                _ => (state >> 11) as f64 / (1_u64 << 53) as f64 - 0.5,
+            }
+        });
+        let mut expect = f.clone();
+        for (v, &m) in expect.as_mut_slice().iter_mut().zip(&dense) {
+            *v *= m;
+        }
+        mask.apply(&mut f);
+        let bits = |f: &ElementField| f.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&f), bits(&expect));
+        assert_eq!(
+            mask.num_constrained(),
+            dense.iter().filter(|&&m| m == 0.0).count()
+        );
     }
 
     #[test]

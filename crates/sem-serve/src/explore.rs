@@ -41,10 +41,10 @@
 //! count saturates, which is the signal that a seeded walk has stopped
 //! finding genuinely new operation orderings.
 //!
-//! Exploration is process-global (the scheduler hook is), so explorer
-//! entry points serialize on an internal lock, and only threads spawned by
-//! [`run_stealing`] register for control — concurrent uncontrolled threads
-//! are unaffected.  Use the `SEM_SCHED_ITERS` environment variable (read by
+//! The scheduler is installed on the explorer's own thread and captured by
+//! the pool that thread starts, so only the workers [`run_stealing`] spawns
+//! for the explored run register for control — pools started concurrently
+//! by other threads (other explorers, unrelated tests) are unaffected.  Use the `SEM_SCHED_ITERS` environment variable (read by
 //! the `sem-lint` binary and the integration smoke test) to bound the
 //! schedule budget in constrained environments.
 
@@ -233,9 +233,6 @@ fn json_string(value: &str) -> String {
     out.push('"');
     out
 }
-
-/// Serializes explorer entry points: the schedule hook is process-global.
-static EXPLORE_LOCK: Mutex<()> = Mutex::new(());
 
 /// Ceiling on scheduling decisions per run; `run_stealing` on the standard
 /// cases needs a few dozen, so hitting this means a livelock.
@@ -851,7 +848,6 @@ fn next_script(mut script: Vec<usize>, mut arity: Vec<usize>) -> Option<Vec<usiz
 /// [`run_stealing`]'s own contract).
 #[must_use]
 pub fn explore_case(case: &ExploreCase, strategy: Strategy, budget: usize) -> CaseReport {
-    let _exclusive = lock_poison_free(&EXPLORE_LOCK);
     let mut report = CaseReport {
         name: case.name,
         workers: case.workers,
@@ -1182,8 +1178,6 @@ mod tests {
         // falls through to a sibling steal within the same sweep — the
         // pre-fix loop restarted at `WorkerPop` instead.
         use std::sync::atomic::{AtomicUsize, Ordering};
-
-        let _exclusive = lock_poison_free(&EXPLORE_LOCK);
 
         struct RetryProbe {
             ops: Mutex<Vec<(usize, SchedOp)>>,

@@ -46,6 +46,7 @@
 
 use crossbeam::channel;
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
+use crossbeam::sched::PoolSched;
 use sem_obs::{recorder, Scope, SpanEvent, SpanKind, WallTimer};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
@@ -243,6 +244,9 @@ where
     let (tx, rx) = channel::unbounded::<Delivery<R>>();
     let run_timer = WallTimer::start();
     let mut ledgers: Vec<Option<WorkerLedger<S>>> = Vec::with_capacity(pool);
+    // A schedule explorer installed on this thread (`sem_serve::explore`)
+    // controls this pool and no other; inert in production.
+    let sched = PoolSched::current();
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(pool);
         for (index, (queue, mut state)) in queues.into_iter().zip(states).enumerate() {
@@ -251,11 +255,10 @@ where
             let stealers = &stealers;
             let execute = &execute;
             let feeder_done = &feeder_done;
+            let sched = &sched;
             // lint: no-panic (a worker panic strands sibling deques mid-run)
             handles.push(scope.spawn(move || {
-                // Registers this thread with a schedule explorer when one is
-                // installed (`sem_serve::explore`); inert in production.
-                let _control = crossbeam::sched::controlled(index);
+                let _control = sched.controlled(index);
                 let mut busy_wall_seconds = 0.0;
                 let mut executed_jobs = 0;
                 let mut steals = 0;
@@ -506,6 +509,7 @@ where
     let (tx, rx) = channel::unbounded::<Delivery<R>>();
     let run_timer = WallTimer::start();
     let mut ledgers: Vec<Option<(WorkerLedger<S>, bool)>> = Vec::with_capacity(pool);
+    let sched = PoolSched::current();
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(pool);
         for (index, (queue, mut state)) in queues.into_iter().zip(states).enumerate() {
@@ -517,9 +521,10 @@ where
             let outstanding = &outstanding;
             let retries = &retries;
             let requeued_on_death = &requeued_on_death;
+            let sched = &sched;
             // lint: no-panic (a worker panic strands sibling deques mid-run)
             handles.push(scope.spawn(move || {
-                let _control = crossbeam::sched::controlled(index);
+                let _control = sched.controlled(index);
                 let mut busy_wall_seconds = 0.0;
                 let mut executed_jobs = 0;
                 let mut steals = 0;
@@ -976,7 +981,11 @@ mod tests {
     fn a_dying_worker_drains_its_deque_and_nothing_is_lost() {
         // Everything is hinted to worker 0, which dies on its first job.
         // Its in-flight job and its whole deque must flow back through the
-        // injector to the survivors.
+        // injector to the survivors.  The survivors hold their first job
+        // until worker 0 has taken one of its own, so the death does not
+        // depend on whether they could steal its whole deque first (each
+        // steal takes one job and 30 are queued).
+        let worker_zero_took_a_job = AtomicBool::new(false);
         let jobs: Vec<TaggedJob<usize>> = (0..30)
             .map(|i| TaggedJob {
                 payload: i,
@@ -988,10 +997,13 @@ mod tests {
             jobs,
             |_, me: &mut usize, payload: usize| {
                 if *me == 0 {
-                    JobVerdict::Fatal(payload)
-                } else {
-                    JobVerdict::Done(payload)
+                    worker_zero_took_a_job.store(true, Ordering::SeqCst);
+                    return JobVerdict::Fatal(payload);
                 }
+                while !worker_zero_took_a_job.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+                JobVerdict::Done(payload)
             },
         );
         let seen: BTreeSet<usize> = run.completed.iter().map(|c| c.result).collect();

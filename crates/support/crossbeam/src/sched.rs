@@ -8,14 +8,17 @@
 //! interleavings: each *controlled* thread parks at every yield point until
 //! the installed [`Scheduler`] grants it the next step.
 //!
-//! Threads opt in explicitly with [`controlled`]; uncontrolled threads (the
-//! caller that seeds queues, unrelated tests in the same process) pass
-//! through untouched, so installing a scheduler perturbs only the pool under
-//! test.
+//! A scheduler is installed on one thread and scoped to the pools that
+//! thread starts: a pool captures [`PoolSched::current`] on its starting
+//! thread and hands it to each worker, which opts in with
+//! [`PoolSched::controlled`].  Every other thread — the caller that seeds
+//! queues, pools started by unrelated tests running at the same time —
+//! passes through untouched, so installing a scheduler perturbs only the
+//! pool under test.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// The shared-state operation a controlled thread is about to perform.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -87,66 +90,73 @@ pub trait Scheduler: Send + Sync {
     }
 }
 
-/// Fast-path flag: true only while a scheduler is installed.
-static ACTIVE: AtomicBool = AtomicBool::new(false);
-
-/// The installed scheduler.  Guarded by a mutex only on install/uninstall
-/// and thread registration — yield points use the thread-local clone.
-static INSTALLED: Mutex<Option<Arc<dyn Scheduler>>> = Mutex::new(None);
+/// Fast-path flag: how many threads have a scheduler installed.  While it
+/// is zero every yield point is a single relaxed load.
+static ACTIVE: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
-    /// This thread's control registration: its pool index plus a clone of
-    /// the scheduler it registered with (so yield points never take the
-    /// global lock).
+    /// The scheduler installed on this thread, handed to the pools it starts.
+    static INSTALLED: RefCell<Option<Arc<dyn Scheduler>>> = const { RefCell::new(None) };
+
+    /// This thread's control registration: its pool index plus the
+    /// scheduler its pool captured.
     static CONTROL: RefCell<Option<(usize, Arc<dyn Scheduler>)>> = const { RefCell::new(None) };
 }
 
-/// Install `scheduler` as the process-wide schedule controller.
+/// Install `scheduler` as the schedule controller of the pools the calling
+/// thread starts from now until [`uninstall`].
 ///
 /// # Panics
-/// Panics if a scheduler is already installed — explorers must serialize
-/// (and [`uninstall`]) their runs.
+/// Panics if the calling thread already has a scheduler installed.
 pub fn install(scheduler: Arc<dyn Scheduler>) {
-    let mut slot = INSTALLED.lock().expect("scheduler slot poisoned");
-    assert!(
-        slot.is_none(),
-        "a schedule controller is already installed; explorer runs must not overlap"
-    );
-    *slot = Some(scheduler);
-    ACTIVE.store(true, Ordering::SeqCst);
+    INSTALLED.with(|slot| {
+        let mut slot = slot.borrow_mut();
+        assert!(
+            slot.is_none(),
+            "a schedule controller is already installed on this thread"
+        );
+        *slot = Some(scheduler);
+    });
+    ACTIVE.fetch_add(1, Ordering::SeqCst);
 }
 
-/// Remove the installed scheduler (no-op when none is installed).
+/// Remove the calling thread's scheduler (no-op when none is installed).
 pub fn uninstall() {
-    let mut slot = INSTALLED.lock().expect("scheduler slot poisoned");
-    ACTIVE.store(false, Ordering::SeqCst);
-    *slot = None;
+    if INSTALLED.with(|slot| slot.borrow_mut().take()).is_some() {
+        ACTIVE.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
-/// Register the calling thread as controlled pool member `index` for the
-/// lifetime of the returned guard.  Inert (and nearly free) when no
-/// scheduler is installed.
-#[must_use]
-pub fn controlled(index: usize) -> ControlGuard {
-    if !ACTIVE.load(Ordering::SeqCst) {
-        return ControlGuard { registered: false };
-    }
-    let scheduler = INSTALLED
-        .lock()
-        .expect("scheduler slot poisoned")
-        .as_ref()
-        .map(Arc::clone);
-    match scheduler {
-        Some(scheduler) => {
-            CONTROL.with(|cell| *cell.borrow_mut() = Some((index, Arc::clone(&scheduler))));
-            scheduler.thread_started(index);
-            ControlGuard { registered: true }
+/// The schedule controller of one pool, captured on the thread that starts
+/// the pool and shared with its workers.
+pub struct PoolSched(Option<Arc<dyn Scheduler>>);
+
+impl PoolSched {
+    /// The scheduler installed on the calling thread, if any.  A pool calls
+    /// this once at start, on the thread that starts it.
+    #[must_use]
+    pub fn current() -> Self {
+        if ACTIVE.load(Ordering::SeqCst) == 0 {
+            return Self(None);
         }
-        None => ControlGuard { registered: false },
+        Self(INSTALLED.with(|slot| slot.borrow().as_ref().map(Arc::clone)))
+    }
+
+    /// Register the calling thread as controlled pool member `index` for
+    /// the lifetime of the returned guard.  Inert when the pool captured no
+    /// scheduler.
+    #[must_use]
+    pub fn controlled(&self, index: usize) -> ControlGuard {
+        let Some(scheduler) = &self.0 else {
+            return ControlGuard { registered: false };
+        };
+        CONTROL.with(|cell| *cell.borrow_mut() = Some((index, Arc::clone(scheduler))));
+        scheduler.thread_started(index);
+        ControlGuard { registered: true }
     }
 }
 
-/// RAII registration of a controlled thread (see [`controlled`]).
+/// RAII registration of a controlled thread (see [`PoolSched::controlled`]).
 #[derive(Debug)]
 pub struct ControlGuard {
     registered: bool,
@@ -170,7 +180,7 @@ impl Drop for ControlGuard {
 /// the calling thread is controlled.
 #[inline]
 pub(crate) fn yield_point(op: SchedOp) {
-    if !ACTIVE.load(Ordering::Relaxed) {
+    if ACTIVE.load(Ordering::Relaxed) == 0 {
         return;
     }
     yield_point_slow(op);
@@ -188,12 +198,12 @@ fn yield_point_slow(op: SchedOp) {
     }
 }
 
-/// Ask the installed scheduler whether the steal `op` the calling thread is
+/// Ask the calling thread's pool scheduler whether the steal `op` it is
 /// about to perform should fail with simulated contention.  Always false in
 /// production (no scheduler installed) and for uncontrolled threads.
 #[inline]
 pub(crate) fn simulate_contention(op: SchedOp) -> bool {
-    if !ACTIVE.load(Ordering::Relaxed) {
+    if ACTIVE.load(Ordering::Relaxed) == 0 {
         return false;
     }
     simulate_contention_slow(op)
@@ -236,15 +246,18 @@ mod tests {
         }
     }
 
-    /// Serializes the two tests below: both touch the process-global
-    /// installed-scheduler slot.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
+    fn recorder() -> Arc<Recorder> {
+        Arc::new(Recorder {
+            started: AtomicUsize::new(0),
+            yields: AtomicUsize::new(0),
+            finished: AtomicUsize::new(0),
+        })
+    }
 
     #[test]
     fn uncontrolled_threads_pass_through_without_a_scheduler() {
-        let _serial = TEST_LOCK.lock().unwrap();
-        // No install: ops run normally and the guard is inert.
-        let guard = controlled(0);
+        // No install on this thread: ops run normally and the guard is inert.
+        let guard = PoolSched::current().controlled(0);
         let injector = crate::deque::Injector::new();
         injector.push(1);
         assert_eq!(injector.steal().success(), Some(1));
@@ -253,16 +266,12 @@ mod tests {
 
     #[test]
     fn controlled_threads_report_to_the_installed_scheduler() {
-        let _serial = TEST_LOCK.lock().unwrap();
-        let recorder = Arc::new(Recorder {
-            started: AtomicUsize::new(0),
-            yields: AtomicUsize::new(0),
-            finished: AtomicUsize::new(0),
-        });
+        let recorder = recorder();
         install(Arc::clone(&recorder) as Arc<dyn Scheduler>);
+        let pool = PoolSched::current();
         std::thread::scope(|scope| {
             scope.spawn(|| {
-                let _guard = controlled(3);
+                let _guard = pool.controlled(3);
                 let worker = crate::deque::Worker::new_fifo();
                 worker.push(7);
                 assert_eq!(worker.pop(), Some(7));
@@ -274,7 +283,7 @@ mod tests {
         // Two deque ops passed through the hook.
         assert_eq!(recorder.yields.load(Ordering::SeqCst), 2);
         // After uninstall the hook is inert again.
-        let _guard = controlled(0);
+        let _guard = PoolSched::current().controlled(0);
         let injector = crate::deque::Injector::new();
         injector.push(1);
         assert_eq!(recorder.yields.load(Ordering::SeqCst), 2);
@@ -303,16 +312,41 @@ mod tests {
     }
 
     #[test]
+    fn a_scheduler_installed_on_one_thread_never_captures_another_threads_pool() {
+        let recorder = recorder();
+        install(Arc::clone(&recorder) as Arc<dyn Scheduler>);
+        // A pool started on another thread (an unrelated test running at the
+        // same time) captures nothing, even while this thread has a
+        // scheduler installed.
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let pool = PoolSched::current();
+                std::thread::scope(|inner| {
+                    inner.spawn(|| {
+                        let _guard = pool.controlled(7);
+                        let worker = crate::deque::Worker::new_fifo();
+                        worker.push(1);
+                        assert_eq!(worker.pop(), Some(1));
+                    });
+                });
+            });
+        });
+        uninstall();
+        assert_eq!(recorder.started.load(Ordering::SeqCst), 0);
+        assert_eq!(recorder.yields.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
     fn a_scheduler_can_inject_retry_into_controlled_steals() {
-        let _serial = TEST_LOCK.lock().unwrap();
         install(Arc::new(Contender {
             budget: AtomicUsize::new(2),
         }) as Arc<dyn Scheduler>);
+        let pool = PoolSched::current();
         let injector = crate::deque::Injector::new();
         injector.push(9);
         std::thread::scope(|scope| {
             scope.spawn(|| {
-                let _guard = controlled(0);
+                let _guard = pool.controlled(0);
                 // The first two steals see simulated contention, the third
                 // lands; worker-deque steals are untouched.
                 assert!(injector.steal().is_retry());

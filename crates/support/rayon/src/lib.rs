@@ -4,16 +4,27 @@
 //! The offline build environment cannot fetch the real `rayon`, so this crate
 //! provides the same API backed by `std::thread::scope`: the chunk list is
 //! divided into contiguous runs, one per available core, and each worker
-//! thread owns a private `for_each_init` state.  Semantics match rayon where
-//! it matters for this workspace: every chunk is visited exactly once with
-//! its global index, chunk-local arithmetic is unchanged (so results are
-//! bitwise identical to sequential execution), and the closure requirements
-//! (`Sync` operations over `Send` data) are the same.
+//! thread owns a private `for_each_init` state.  The last run executes on the
+//! calling thread, so a split over `n` cores spawns `n - 1` threads.
+//! Semantics match rayon where it matters for this workspace: every chunk is
+//! visited exactly once with its global index, chunk-local arithmetic is
+//! unchanged (so results are bitwise identical to sequential execution), and
+//! the closure requirements (`Sync` operations over `Send` data) are the
+//! same.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
 use std::num::NonZeroUsize;
+use std::sync::OnceLock;
+
+/// Number of threads a parallel iteration splits its work over: the host's
+/// available parallelism, read once per process.
+#[must_use]
+pub fn current_num_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
 
 /// Rayon-style prelude: import the parallel-slice extension trait.
 pub mod prelude {
@@ -55,8 +66,7 @@ impl<'a, T: Send> ParChunksMut<'a, T> {
     where
         F: Fn(&mut [T]) + Sync,
     {
-        self.enumerate()
-            .for_each_init(|| (), |(), (_, chunk)| op(chunk));
+        self.enumerate().for_each(|(_, chunk)| op(chunk));
     }
 }
 
@@ -64,6 +74,14 @@ impl<'a, T: Send> ParChunksMut<'a, T> {
 pub struct EnumeratedChunksMut<'a, T>(ParChunksMut<'a, T>);
 
 impl<T: Send> EnumeratedChunksMut<'_, T> {
+    /// Run `op` on every `(index, chunk)` pair in parallel.
+    pub fn for_each<F>(self, op: F)
+    where
+        F: Fn((usize, &mut [T])) + Sync,
+    {
+        self.for_each_init(|| (), |(), item| op(item));
+    }
+
     /// Run `op` on every `(index, chunk)` pair in parallel, giving each
     /// worker thread its own state created by `init`.
     pub fn for_each_init<S, INIT, F>(self, init: INIT, op: F)
@@ -77,9 +95,7 @@ impl<T: Send> EnumeratedChunksMut<'_, T> {
             return;
         }
         let num_chunks = slice.len().div_ceil(chunk_size);
-        let threads = std::thread::available_parallelism()
-            .map_or(1, NonZeroUsize::get)
-            .min(num_chunks);
+        let threads = current_num_threads().min(num_chunks);
 
         if threads <= 1 {
             let mut state = init();
@@ -89,24 +105,22 @@ impl<T: Send> EnumeratedChunksMut<'_, T> {
             return;
         }
 
-        let chunks_per_thread = num_chunks.div_ceil(threads);
-        let init = &init;
-        let op = &op;
+        let run_len = num_chunks.div_ceil(threads) * chunk_size;
+        let run = |base: usize, items: &mut [T]| {
+            let mut state = init();
+            for (offset, chunk) in items.chunks_mut(chunk_size).enumerate() {
+                op(&mut state, (base + offset, chunk));
+            }
+        };
+        let run = &run;
         std::thread::scope(|scope| {
-            let mut rest = slice;
-            let mut first_index = 0;
-            while !rest.is_empty() {
-                let take = (chunks_per_thread * chunk_size).min(rest.len());
-                let (run, tail) = rest.split_at_mut(take);
-                rest = tail;
-                let base = first_index;
-                first_index += run.len().div_ceil(chunk_size);
-                scope.spawn(move || {
-                    let mut state = init();
-                    for (offset, chunk) in run.chunks_mut(chunk_size).enumerate() {
-                        op(&mut state, (base + offset, chunk));
-                    }
-                });
+            let mut runs = slice.chunks_mut(run_len).enumerate();
+            let last = runs.next_back();
+            for (r, chunks) in runs {
+                scope.spawn(move || run(r * run_len / chunk_size, chunks));
+            }
+            if let Some((r, chunks)) = last {
+                run(r * run_len / chunk_size, chunks);
             }
         });
     }
@@ -115,7 +129,6 @@ impl<T: Send> EnumeratedChunksMut<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
-    use std::num::NonZeroUsize;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
@@ -148,9 +161,23 @@ mod tests {
                 || inits.fetch_add(1, Ordering::SeqCst),
                 |_, (_, chunk)| chunk[0] = 1,
             );
-        let threads = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-        assert!(inits.load(Ordering::SeqCst) <= threads.min(64));
+        assert!(inits.load(Ordering::SeqCst) <= crate::current_num_threads().min(64));
         assert!(data.iter().all(|&v| v == 1));
+    }
+
+    #[test]
+    fn the_last_run_executes_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let mut data = vec![false; 4];
+        data.as_mut_slice()
+            .par_chunks_mut(1)
+            .enumerate()
+            .for_each(|(_, chunk)| chunk[0] = std::thread::current().id() == caller);
+        // The caller's chunks are exactly the last run: a non-empty suffix,
+        // and not everything when there is more than one run.
+        assert!(data[3], "the last chunk belongs to the last run");
+        assert!(data.windows(2).all(|w| !w[0] || w[1]), "{data:?}");
+        assert_eq!(data[0], crate::current_num_threads() == 1);
     }
 
     #[test]
